@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint docs build test race test-lifecycle test-cluster bench bench-pools bench-batched bench-durable bench-elastic bench-cluster bench-smoke campaign-smoke
+.PHONY: check fmt vet lint docs build test race test-lifecycle test-cluster bench-verify bench bench-pools bench-batched bench-durable bench-elastic bench-cluster bench-smoke campaign-smoke
 
-check: fmt vet lint build test race test-lifecycle test-cluster
+check: fmt vet lint build test race test-lifecycle test-cluster bench-verify
 
 # Lifecycle/elasticity conformance tier (DESIGN.md §13): the shared
 # lifecycletest battery against every component (Domain, Pool,
@@ -26,6 +26,14 @@ test-lifecycle:
 # all under the race detector.
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/...
+
+# Benchmark gate: vet and test the canonical benchmark (perfbench/, a
+# nested module over this one), so a change to a serving front that
+# breaks the benchmark's build or its reply-verification self-test
+# fails the gate.
+bench-verify:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Lint gate: the sdradlint invariant analyzers (internal/analysis) over
 # every package — wall-clock ban, uncharged-accessor containment,

@@ -318,12 +318,27 @@ func (a *AsyncPool) Resize(n int) error {
 		if err := a.pool.Resize(n); err != nil {
 			return err
 		}
-		return q.Resize(n)
+		return a.refusal(q.Resize(n))
 	}
 	if err := q.Resize(n); err != nil {
-		return err
+		return a.refusal(err)
 	}
 	return a.pool.Resize(n)
+}
+
+// refusal maps a queue-resize error onto the machine's typed refusal
+// when a Drain or Close landed after Resize's state check and closed the
+// queues underneath it: the machine publishes the new state before it
+// closes them, so the caller sees the same typed error as a Resize that
+// started a moment later.
+func (a *AsyncPool) refusal(err error) error {
+	if err == nil {
+		return nil
+	}
+	if lerr := a.lc.Resizable(); lerr != nil {
+		return lerr
+	}
+	return err
 }
 
 // Flush blocks until every call admitted before it has resolved.

@@ -13,8 +13,9 @@
 // Request handling is sharded across -workers parallel supervisors, each
 // its own simulated machine; keys map to shards by hash, so related
 // requests serialize on one shard while the rest run concurrently.
-// Concurrent connections pipeline through bounded per-shard submission
-// queues that coalesce requests into batched domain executions;
+// Concurrent connections share bounded per-shard submission queues that
+// coalesce requests into batched domain executions, and each connection
+// submits every command it has pipelined before it waits for one;
 // -max-inflight bounds the admitted backlog (overload answers
 // SERVER_ERROR immediately) and -max-inflight=0 disables the async
 // layer entirely (one domain entry per request, as before).
@@ -76,7 +77,7 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel supervisor shards (key-hashed)")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request deadline, mapped to a deterministic virtual-cycle budget (0 = none)")
 	maxInflight := flag.Int("max-inflight", 1024, "admission bound on queued+executing requests across all shards; overload answers SERVER_ERROR (0 = serial path, no batching)")
-	maxBatch := flag.Int("max-batch", 32, "max pipelined requests coalesced into one batched domain execution")
+	maxBatch := flag.Int("max-batch", 32, "max queued requests of one shard coalesced into one batched domain execution")
 	dataDir := flag.String("data-dir", "", "durability root: per-shard WAL + snapshots under this directory (empty = memory-only)")
 	fsync := flag.Bool("fsync", true, "fsync the WAL on every group commit (only with -data-dir)")
 	snapshotEvery := flag.Int("snapshot-every", 64, "take an incremental snapshot every N committed batches per shard (only with -data-dir; 0 = WAL only)")

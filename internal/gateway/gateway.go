@@ -316,6 +316,17 @@ func (t *Ticket) Done(detected, preempted bool) {
 	}
 }
 
+// Limits returns tenant's admission limits, defaults filled in; an
+// unknown tenant gets the configured default.
+func (g *Gateway) Limits(tenant string) Limits {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if ts := g.tenants[tenant]; ts != nil {
+		return ts.lim
+	}
+	return g.cfg.Limits
+}
+
 // Quarantined reports whether tenant is currently quarantined.
 func (g *Gateway) Quarantined(tenant string) bool {
 	g.mu.Lock()

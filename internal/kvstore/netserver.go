@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -34,8 +35,12 @@ const overloadRetryCyclesPerSlot = 300_000
 // NetServer serves the memcached text protocol over TCP on top of a
 // Server or a Pool, with connections multiplexing on real sockets.
 type NetServer struct {
-	handle func(ctx context.Context, clientID int, req workload.Request) Response
-	stats  func(w io.Writer) error
+	// start begins one request. Serial fronts execute it on the spot and
+	// fill a.resp; batched fronts submit it to its shard's queue and
+	// return the future the drain loop resolves once a.resp is filled
+	// (nil when the submission was refused and a.resp carries why).
+	start func(ctx context.Context, a *asyncReq) *submit.Future
+	stats func(w io.Writer) error
 	// scanFn serves one paginated scan page (nil disables the scan
 	// command). Scans bypass the submission queues even on batched
 	// servers: a page is a trusted-side metadata walk, not domain work.
@@ -86,10 +91,11 @@ func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
 	var mu sync.Mutex
 	return servingNet(&NetServer{
 		log: logger,
-		handle: func(ctx context.Context, clientID int, req workload.Request) Response {
+		start: func(ctx context.Context, a *asyncReq) *submit.Future {
 			mu.Lock()
 			defer mu.Unlock()
-			return srv.HandleContext(ctx, clientID, req)
+			a.resp = srv.HandleContext(ctx, a.clientID, a.req)
+			return nil
 		},
 		stats: func(w io.Writer) error {
 			mu.Lock()
@@ -169,8 +175,11 @@ func NewNetServerPool(p *Pool, logger *log.Logger) *NetServer {
 // consult the machine — legacy constructors advance it for you).
 func NewDeferredNetServerPool(p *Pool, logger *log.Logger) *NetServer {
 	return &NetServer{
-		log:       logger,
-		handle:    p.HandleContext,
+		log: logger,
+		start: func(ctx context.Context, a *asyncReq) *submit.Future {
+			a.resp = p.HandleContext(ctx, a.clientID, a.req)
+			return nil
+		},
 		stats:     func(w io.Writer) error { return WriteStats(w, p) },
 		scanFn:    p.Scan,
 		workers:   p.Workers(),
@@ -183,8 +192,9 @@ func NewDeferredNetServerPool(p *Pool, logger *log.Logger) *NetServer {
 	}
 }
 
-// asyncReq is one connection request in flight through the submission
-// queues; the drain loop fills resp before resolving the future.
+// asyncReq is one connection request between its start and its reply;
+// on the batched path the drain loop fills resp before resolving the
+// future.
 type asyncReq struct {
 	clientID int
 	req      workload.Request
@@ -249,9 +259,8 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 		resizeFn:  p.ResizeWorkers,
 		workersFn: p.ShardWorkers,
 	})
-	n.handle = func(ctx context.Context, clientID int, req workload.Request) Response {
-		a := &asyncReq{clientID: clientID, req: req}
-		fut, err := q.Submit(p.shardIndex(req.Key), ctx, a)
+	n.start = func(ctx context.Context, a *asyncReq) *submit.Future {
+		fut, err := q.Submit(p.shardIndex(a.req.Key), ctx, a)
 		if err != nil {
 			// Overload (queue full) or closed: shed the request. An
 			// overload is decorated with a deterministic retry hint derived
@@ -264,12 +273,13 @@ func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch 
 					Cause:  err,
 				}
 			}
-			return Response{Err: err}
+			a.resp = Response{Err: err}
+			return nil
 		}
 		// The future resolves when the drain loop answered; the request's
 		// ctx still governs its in-domain budget (deadlines that expire
 		// while queued surface as preemptions, as on the serial path).
-		return respondAsync(a, fut)
+		return fut
 	}
 	return n, nil
 }
@@ -527,103 +537,227 @@ func (n *NetServer) Serve(ln net.Listener) error {
 	}
 }
 
-// serveConn runs the command loop for one connection. With a gateway
-// installed the connection carries tenant state: data commands require
-// a prior successful auth command and pass per-tenant admission.
-func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	tenant := ""
-	authed := false
+// connBufSize is a connection's read buffer: it holds a 16-request
+// burst of 1 KiB SETs whole, so such a burst becomes one group. It also
+// bounds a command line (ReadCommand rejects a longer one).
+const connBufSize = 64 << 10
+
+// maxGroup bounds the replies one connection may owe at once, so a
+// pipeline of large GETs holds at most this many values in memory.
+const maxGroup = 64
+
+// conn is one connection's state.
+type conn struct {
+	id     int
+	r      *bufio.Reader
+	w      *bufio.Writer
+	tenant string
+	authed bool
+	// limit bounds the group: at most maxGroup, the queue depth, and the
+	// tenant's MaxInflight, so one connection can overload neither its
+	// queue nor its quota by itself.
+	limit int
+	// group holds the data commands admitted and started but not yet
+	// answered, in arrival order. Its capacity is maxGroup and it never
+	// grows past it: queued requests point into it.
+	group []pending
+}
+
+// pending is one data command of a group, between its start and its
+// reply.
+type pending struct {
+	a      asyncReq
+	fut    *submit.Future
+	ticket *gateway.Ticket
+	cancel context.CancelFunc
+	// unauthed marks a command refused for want of an auth command; it
+	// never ran.
+	unauthed bool
+}
+
+// serveConn runs the command loop for one connection. Data commands are
+// served in groups: every data command already whole in the read buffer
+// is admitted and started in arrival order without waiting, then the
+// group is answered in the same order and flushed once. A group ends
+// before a command that is not a data command (it is answered after the
+// group), after a malicious request or a quarantine probe (the gateway
+// must see its outcome before the next admission, as a client waiting
+// for each reply would cause), at the connection's group limit, and at
+// the end of the buffered bytes, so no read blocks while replies are
+// owed. With a gateway installed the connection carries tenant state:
+// data commands require a prior successful auth command and pass
+// per-tenant admission.
+func (n *NetServer) serveConn(id int, rw io.ReadWriter) {
+	c := &conn{
+		id:    id,
+		r:     bufio.NewReaderSize(rw, connBufSize),
+		w:     bufio.NewWriter(rw),
+		group: make([]pending, 0, maxGroup),
+	}
+	c.limit = n.groupLimit(c.tenant)
 	for {
-		cmd, err := ReadCommand(r)
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				_, _ = fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", err)
-				_ = w.Flush()
-			}
+		cmd, err := ReadCommand(c.r)
+		for err == nil && cmd.data() && n.add(c, cmd.Req) && commandBuffered(c.r) {
+			cmd, err = ReadCommand(c.r)
+		}
+		if serr := n.settle(c); serr != nil {
+			n.logf("conn %d write: %v", id, serr)
 			return
 		}
+		var werr error
 		switch {
+		case err != nil:
+			if !errors.Is(err, io.EOF) {
+				_, _ = fmt.Fprintf(c.w, "CLIENT_ERROR %v\r\n", err)
+			}
+			_ = c.w.Flush()
+			return
 		case cmd.Quit:
-			_ = w.Flush()
+			_ = c.w.Flush()
 			return
 		case cmd.Auth:
-			err = n.handleAuth(w, cmd.Token, &tenant, &authed)
+			werr = n.handleAuth(c, cmd.Token)
 		case cmd.Health:
-			err = n.writeHealth(w)
+			werr = n.writeHealth(c.w)
 		case cmd.Stats:
-			err = n.stats(w)
+			werr = n.stats(c.w)
 		case cmd.Scan:
-			err = n.handleScan(w, cmd, tenant, authed)
-		default:
-			req := cmd.Req
-			if bytes.HasPrefix(req.Value, []byte(AttackMarker)) {
-				req.Malicious = true
-			}
-			err = n.handleData(w, id, req, tenant, authed)
+			werr = n.handleScan(c, cmd)
 		}
-		if err != nil {
-			n.logf("conn %d write: %v", id, err)
+		if werr != nil {
+			n.logf("conn %d write: %v", id, werr)
 			return
 		}
-		if err := w.Flush(); err != nil {
+		if err := c.w.Flush(); err != nil {
 			n.logf("conn %d flush: %v", id, err)
 			return
 		}
 	}
 }
 
+// groupLimit is the group bound for a connection of tenant ("" when not
+// authenticated).
+func (n *NetServer) groupLimit(tenant string) int {
+	limit := maxGroup
+	if n.queues != nil {
+		limit = min(limit, n.queues.Depth())
+	}
+	if n.gw != nil && tenant != "" {
+		limit = min(limit, n.gw.Limits(tenant).MaxInflight)
+	}
+	return limit
+}
+
+// add admits req through the gateway, when one is installed, starts it,
+// and appends it to c's group. It reports whether the group may take
+// another command.
+func (n *NetServer) add(c *conn, req workload.Request) bool {
+	if bytes.HasPrefix(req.Value, []byte(AttackMarker)) {
+		req.Malicious = true
+	}
+	c.group = append(c.group, pending{a: asyncReq{clientID: c.id, req: req}})
+	p := &c.group[len(c.group)-1]
+	more := !req.Malicious && len(c.group) < c.limit
+	if n.gw != nil {
+		if !c.authed {
+			p.unauthed = true
+			return more
+		}
+		t, aerr := n.gw.Admit(c.tenant)
+		if aerr != nil {
+			p.a.resp = Response{Err: aerr}
+			return more
+		}
+		p.ticket = t
+		more = more && !t.Probe()
+	}
+	ctx := context.Background()
+	if n.reqTimeout > 0 {
+		ctx, p.cancel = context.WithTimeout(ctx, n.reqTimeout)
+	}
+	p.fut = n.start(ctx, &p.a)
+	return more
+}
+
+// settle answers c's group in arrival order: it waits for each
+// response, reports the outcome to the tenant's circuit breaker, and
+// writes the reply. Every request is settled even after a write fails,
+// so no ticket or deadline leaks; the first write error is returned.
+func (n *NetServer) settle(c *conn) error {
+	var werr error
+	for i := range c.group {
+		p := &c.group[i]
+		if p.fut != nil {
+			p.a.resp = respondAsync(&p.a, p.fut)
+		}
+		if p.cancel != nil {
+			p.cancel()
+		}
+		resp := p.a.resp
+		if p.ticket != nil {
+			_, preempted := core.IsBudget(resp.Err)
+			p.ticket.Done(resp.Contained, preempted)
+		}
+		if resp.Contained {
+			n.logf("conn %d: tenant %q: contained memory-safety violation (domain rewound)", c.id, c.tenant)
+		}
+		if werr == nil {
+			if p.unauthed {
+				_, werr = io.WriteString(c.w, "CLIENT_ERROR auth required\r\n")
+			} else {
+				werr = WriteResponse(c.w, p.a.req, resp)
+			}
+		}
+		c.group[i] = pending{}
+	}
+	c.group = c.group[:0]
+	return werr
+}
+
+// commandBuffered reports whether r's buffer holds a whole command, so
+// that reading it cannot block.
+func commandBuffered(r *bufio.Reader) bool {
+	buf, _ := r.Peek(r.Buffered()) // cannot fail: the bytes are buffered
+	i := bytes.IndexByte(buf, '\n')
+	if i < 0 {
+		return false
+	}
+	// Only a set line is followed by more bytes: its data block, whose
+	// length is the last of five fields. ReadCommand reads the block
+	// only when that length is valid.
+	line := buf[:i]
+	if !bytes.Contains(line, []byte("set")) {
+		return true
+	}
+	f := bytes.Fields(line)
+	if len(f) != 5 || string(f[0]) != "set" {
+		return true
+	}
+	size, err := strconv.Atoi(string(f[4]))
+	if err != nil || size < 0 || size > MaxValueSize {
+		return true
+	}
+	return len(buf)-i-1 >= size+2
+}
+
 // handleAuth binds the connection to a tenant. Every failure mode
 // answers the same uniform line — the response never reveals whether
 // the token was close to (or part of) a valid credential.
-func (n *NetServer) handleAuth(w io.Writer, token string, tenant *string, authed *bool) error {
+func (n *NetServer) handleAuth(c *conn, token string) error {
 	if n.gw == nil {
-		_, err := io.WriteString(w, "CLIENT_ERROR gateway disabled\r\n")
+		_, err := io.WriteString(c.w, "CLIENT_ERROR gateway disabled\r\n")
 		return err
 	}
 	name, aerr := n.gw.Authenticate([]byte(token))
+	c.tenant, c.authed = name, aerr == nil
+	c.limit = n.groupLimit(c.tenant)
 	if aerr != nil {
-		*tenant = ""
-		*authed = false
 		n.logf("auth rejected: %v", aerr)
-		_, err := io.WriteString(w, "CLIENT_ERROR unauthorized\r\n")
+		_, err := io.WriteString(c.w, "CLIENT_ERROR unauthorized\r\n")
 		return err
 	}
-	*tenant = name
-	*authed = true
-	_, err := io.WriteString(w, "OK\r\n")
+	_, err := io.WriteString(c.w, "OK\r\n")
 	return err
-}
-
-// handleData executes one data command, running gateway admission first
-// when a gateway is installed: rejections become SERVER_ERROR lines
-// carrying the typed error's deterministic rendering, and admitted
-// requests report their outcome (contained violation, budget
-// preemption) back to the tenant's circuit breaker.
-func (n *NetServer) handleData(w io.Writer, id int, req workload.Request, tenant string, authed bool) error {
-	if n.gw == nil {
-		resp := n.handleTimed(id, req)
-		if resp.Contained {
-			n.logf("conn %d: contained memory-safety violation (domain rewound)", id)
-		}
-		return WriteResponse(w, req, resp)
-	}
-	if !authed {
-		_, err := io.WriteString(w, "CLIENT_ERROR auth required\r\n")
-		return err
-	}
-	ticket, aerr := n.gw.Admit(tenant)
-	if aerr != nil {
-		return WriteResponse(w, req, Response{Err: aerr})
-	}
-	resp := n.handleTimed(id, req)
-	_, preempted := core.IsBudget(resp.Err)
-	ticket.Done(resp.Contained, preempted)
-	if resp.Contained {
-		n.logf("conn %d: tenant %s: contained memory-safety violation (domain rewound)", id, tenant)
-	}
-	return WriteResponse(w, req, resp)
 }
 
 // handleScan serves one paginated scan page. With a gateway installed,
@@ -631,18 +765,19 @@ func (n *NetServer) handleData(w io.Writer, id int, req workload.Request, tenant
 // — pagination is the anti-starvation contract: a tenant walking the
 // whole table re-enters admission per page and cannot lock others out
 // with one giant request.
-func (n *NetServer) handleScan(w io.Writer, cmd Command, tenant string, authed bool) error {
+func (n *NetServer) handleScan(c *conn, cmd Command) error {
+	w := c.w
 	if n.scanFn == nil {
 		_, err := io.WriteString(w, "CLIENT_ERROR scan disabled\r\n")
 		return err
 	}
 	var ticket *gateway.Ticket
 	if n.gw != nil {
-		if !authed {
+		if !c.authed {
 			_, err := io.WriteString(w, "CLIENT_ERROR auth required\r\n")
 			return err
 		}
-		t, aerr := n.gw.Admit(tenant)
+		t, aerr := n.gw.Admit(c.tenant)
 		if aerr != nil {
 			_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", aerr)
 			return err
@@ -698,16 +833,4 @@ func (n *NetServer) writeHealth(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "END\r\n")
 	return err
-}
-
-// handleTimed wraps handle with the per-request deadline, when one is
-// configured.
-func (n *NetServer) handleTimed(id int, req workload.Request) Response {
-	ctx := context.Background()
-	if n.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.reqTimeout)
-		defer cancel()
-	}
-	return n.handle(ctx, id, req)
 }

@@ -2,13 +2,25 @@ package kvstore
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
+
+// handle runs one request through the front as a group of one: start
+// it, then wait for its response.
+func (n *NetServer) handle(ctx context.Context, clientID int, req workload.Request) Response {
+	a := &asyncReq{clientID: clientID, req: req}
+	if fut := n.start(ctx, a); fut != nil {
+		return respondAsync(a, fut)
+	}
+	return a.resp
+}
 
 // startNet spins up a real TCP listener backed by a fresh server and
 // returns its address plus a shutdown func.

@@ -64,13 +64,23 @@ type Command struct {
 	ScanLimit  int
 }
 
-// ReadCommand reads and parses one command from r.
+// data reports whether the command is a get, set or delete.
+func (c Command) data() bool {
+	return !c.Stats && !c.Quit && !c.Auth && !c.Health && !c.Scan
+}
+
+// ReadCommand reads and parses one command from r. A command line
+// longer than r's buffer is a protocol error: the line is never held
+// beyond that buffer, so a client cannot grow the reader without bound.
 func ReadCommand(r *bufio.Reader) (Command, error) {
-	line, err := r.ReadString('\n')
+	raw, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return Command{}, fmt.Errorf("%w: command line longer than %d bytes", ErrProtocol, r.Size())
+	}
 	if err != nil {
 		return Command{}, err
 	}
-	line = strings.TrimRight(line, "\r\n")
+	line := strings.TrimRight(string(raw), "\r\n")
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return Command{}, fmt.Errorf("%w: empty command", ErrProtocol)
@@ -156,10 +166,14 @@ func ReadCommand(r *bufio.Reader) (Command, error) {
 func WriteResponse(w io.Writer, req workload.Request, resp Response) error {
 	switch {
 	case resp.Err != nil:
-		_, err := fmt.Fprintf(w, "SERVER_ERROR %s\r\n", resp.Err)
+		_, err := io.WriteString(w, "SERVER_ERROR "+resp.Err.Error()+"\r\n")
 		return err
 	case req.Op == workload.OpGet && resp.OK:
-		if _, err := fmt.Fprintf(w, "VALUE %s %d %d\r\n", req.Key, resp.Flags, len(resp.Value)); err != nil {
+		hdr := make([]byte, 0, len("VALUE  4294967295 \r\n")+len(req.Key)+20)
+		hdr = append(append(hdr, "VALUE "...), req.Key...)
+		hdr = strconv.AppendUint(append(hdr, ' '), uint64(resp.Flags), 10)
+		hdr = strconv.AppendInt(append(hdr, ' '), int64(len(resp.Value)), 10)
+		if _, err := w.Write(append(hdr, "\r\n"...)); err != nil {
 			return err
 		}
 		if _, err := w.Write(resp.Value); err != nil {

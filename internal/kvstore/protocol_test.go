@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -167,5 +168,59 @@ func TestProtocolRoundTripThroughServer(t *testing.T) {
 	want := "STORED\r\nVALUE greeting 0 5\r\nhello\r\nEND\r\nDELETED\r\nEND\r\n"
 	if out.String() != want {
 		t.Errorf("transcript:\n%q\nwant:\n%q", out.String(), want)
+	}
+}
+
+// TestRenderingBytes pins the request payload and the reply bytes to
+// the fmt renderings they replaced: the payload's bytes are charged per
+// byte on the virtual clock, and the replies are the wire.
+func TestRenderingBytes(t *testing.T) {
+	reqs := []workload.Request{
+		{Op: workload.OpSet, Key: "k", Value: []byte("hello")},
+		{Op: workload.OpSet, Key: "empty", Value: []byte{}},
+		{Op: workload.OpSet, Key: "big", Value: bytes.Repeat([]byte("v"), 1024), Flags: 7},
+		{Op: workload.OpGet, Key: "user:42"},
+		{Op: workload.OpDelete, Key: "gone"},
+	}
+	for _, req := range reqs {
+		var want string
+		switch req.Op {
+		case workload.OpSet:
+			want = fmt.Sprintf("set %s 0 0 %d\r\n", req.Key, len(req.Value)) + string(req.Value) + "\r\n"
+		case workload.OpDelete:
+			want = fmt.Sprintf("delete %s\r\n", req.Key)
+		default:
+			want = fmt.Sprintf("get %s\r\n", req.Key)
+		}
+		if got := string(payload(req)); got != want {
+			t.Errorf("payload(%v %q) = %q, want %q", req.Op, req.Key, got, want)
+		}
+	}
+
+	get := workload.Request{Op: workload.OpGet, Key: "user:42"}
+	hit := Response{OK: true, Value: []byte("abc"), Flags: 4294967295}
+	empty := Response{OK: true, Value: []byte{}, Flags: 3}
+	replies := []struct {
+		req  workload.Request
+		resp Response
+		want string
+	}{
+		{get, hit, fmt.Sprintf("VALUE %s %d %d\r\n", get.Key, hit.Flags, len(hit.Value)) + "abc\r\nEND\r\n"},
+		{get, empty, fmt.Sprintf("VALUE %s %d %d\r\n", get.Key, empty.Flags, 0) + "\r\nEND\r\n"},
+		{get, Response{}, "END\r\n"},
+		{reqs[0], Response{OK: true}, "STORED\r\n"},
+		{reqs[1], Response{OK: true}, "STORED\r\n"},
+		{reqs[4], Response{OK: true}, "DELETED\r\n"},
+		{reqs[4], Response{}, "NOT_FOUND\r\n"},
+		{reqs[0], Response{Err: ErrProtocol}, fmt.Sprintf("SERVER_ERROR %s\r\n", ErrProtocol)},
+	}
+	for _, c := range replies {
+		var buf bytes.Buffer
+		if err := WriteResponse(&buf, c.req, c.resp); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != c.want {
+			t.Errorf("WriteResponse(%v %q, %+v) = %q, want %q", c.req.Op, c.req.Key, c.resp, buf.String(), c.want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	sdrad "repro"
@@ -333,17 +334,22 @@ func (s *Server) Stats() ServerStats {
 func payload(req workload.Request) []byte {
 	switch req.Op {
 	case workload.OpSet:
-		head := fmt.Sprintf("set %s 0 0 %d\r\n", req.Key, len(req.Value))
-		out := make([]byte, 0, len(head)+len(req.Value)+2)
-		out = append(out, head...)
-		out = append(out, req.Value...)
-		out = append(out, '\r', '\n')
-		return out
+		out := make([]byte, 0, len("set  0 0 \r\n\r\n")+len(req.Key)+20+len(req.Value))
+		out = append(append(out, "set "...), req.Key...)
+		out = strconv.AppendInt(append(out, " 0 0 "...), int64(len(req.Value)), 10)
+		out = append(append(out, "\r\n"...), req.Value...)
+		return append(out, "\r\n"...)
 	case workload.OpDelete:
-		return []byte(fmt.Sprintf("delete %s\r\n", req.Key))
+		return keyLine("delete ", req.Key)
 	default:
-		return []byte(fmt.Sprintf("get %s\r\n", req.Key))
+		return keyLine("get ", req.Key)
 	}
+}
+
+// keyLine renders "<verb><key>\r\n".
+func keyLine(verb, key string) []byte {
+	out := make([]byte, 0, len(verb)+len(key)+2)
+	return append(append(append(out, verb...), key...), "\r\n"...)
 }
 
 // Handle serves one request from clientID. It is HandleContext with a
