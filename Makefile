@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint docs build test race test-lifecycle test-cluster bench-verify bench bench-pools bench-batched bench-durable bench-elastic bench-cluster bench-smoke campaign-smoke
+.PHONY: check fmt vet lint docs build test race test-lifecycle test-cluster bench-verify bench bench-pools bench-batched bench-durable bench-elastic bench-cluster bench-smoke campaign-smoke loc
 
 check: fmt vet lint build test race test-lifecycle test-cluster bench-verify
 
@@ -13,8 +13,9 @@ check: fmt vet lint build test race test-lifecycle test-cluster bench-verify
 # lifecycletest battery against every component (Domain, Pool,
 # AsyncPool, kvstore.Pool, both NetServers), the -race elasticity
 # hammers (concurrent Resize under load with a mid-run drain), the
-# retired-worker and durable-acked-write regressions, the controller
-# grow/shrink cycle, and the drain regressions (whole-call drain
+# retired-worker and durable-acked-write regressions, the grow/shrink
+# rules of both controllers (AsyncPool and the network front in
+# internal/serve), and the drain regressions (whole-call drain
 # accounting, controller-teardown deadlock freedom, batch shedding).
 test-lifecycle:
 	$(GO) test -race -run 'TestLifecycleConformance|TestElastic|TestResiz|TestRetiredWorkerNeverRedispatched|Drain' ./...
@@ -129,3 +130,11 @@ campaign-smoke:
 		-scenarios kv-pool-mixed,http-domain-malformed,ffi-bridge-binary,kv-pool-benign,kv-pool-resize \
 		-gateway gw-attack-tenants \
 		-oracles -cluster -out CAMPAIGN_CI.json
+
+# Go line counts, non-test and test, outside the benchmark module
+# (perfbench/), testdata/ and hidden directories: every change reports
+# its non-test delta from this.
+LOC_FILES = find . \( -path ./perfbench -o -path '*/testdata' -o -path './.*' \) -prune -o -name '*.go'
+loc:
+	@echo "non-test $$($(LOC_FILES) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@echo "test     $$($(LOC_FILES) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"

@@ -138,15 +138,12 @@ func serveConn(router *cluster.Router, id int, conn io.ReadWriter) {
 	for {
 		cmd, err := kvstore.ReadCommand(r)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return
-			}
+			// After a protocol error the reader may sit inside the bad
+			// command (the tail of an over-long line, a data block), so
+			// the connection closes rather than parse those bytes as
+			// commands.
 			if errors.Is(err, kvstore.ErrProtocol) {
 				fmt.Fprintf(w, "CLIENT_ERROR %s\r\n", err)
-				if ferr := w.Flush(); ferr != nil {
-					return
-				}
-				continue
 			}
 			return
 		}

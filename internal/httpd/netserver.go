@@ -8,62 +8,29 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dispatch"
 	"repro/internal/gateway"
-	"repro/internal/lifecycle"
+	"repro/internal/serve"
 	"repro/internal/submit"
 )
 
-// overloadRetryCyclesPerSlot is the virtual-cycle cost estimate behind
-// the batched path's overload retry hint (one queue slot ≈ one request's
-// service time). The hint is configured depth × this, quantized — the
-// bare OverloadError's worker/occupancy detail depends on host timing
-// and must never reach the wire.
-const overloadRetryCyclesPerSlot = 300_000
+// frontName names the server's lifecycle component.
+const frontName = "httpd.NetServer"
 
 // NetServer serves HTTP/1.1 over TCP on top of a Server or a Pool, with
 // connections multiplexing on real sockets. One request per connection
-// (Connection: close semantics) keeps the demo loop simple.
+// (Connection: close semantics) keeps the demo loop simple. The
+// embedded front owns the accept loop, lifecycle, drain order, batched
+// queues and elastic controller; NetServer adds the protocol. With a
+// gateway installed every request requires a bearer token and passes
+// per-tenant admission, and the /healthz and /drainz lifecycle
+// endpoints come alive.
 type NetServer struct {
+	*serve.Front
 	handle func(ctx context.Context, clientID int, raw []byte) Response
-	log    *log.Logger
-
-	// reqTimeout, when non-zero, caps each request with a context
-	// deadline (mapped to a virtual-cycle budget by the server).
-	reqTimeout time.Duration
-
-	// queues is the async submission layer (batched servers only).
-	queues *submit.Queues
-
-	// gw, when set, fronts every request with tenant admission and adds
-	// the /healthz and /drainz lifecycle endpoints.
-	gw      *gateway.Gateway
-	workers int
-
-	// resizeFn/workersFn abstract the parsing-domain resize over the
-	// Server/Pool split (nil when the backend cannot resize).
-	resizeFn  func(int) error
-	workersFn func() int
-
-	// lc is the shared lifecycle state machine: it memoizes Drain and
-	// Close and rejects illegal transitions with a typed
-	// *LifecycleError. The eager constructors return it pre-advanced to
-	// Healthy; the deferred constructor leaves it Initializing.
-	lc *lifecycle.Machine
-
-	// elastic, when enabled, autoscales the parsing domains from
-	// submission-queue backlog (batched pool servers only).
-	elasticMu sync.Mutex
-	elastic   *netElastic
-
-	connMu sync.Mutex
-	nextID int
-	wg     sync.WaitGroup
 }
 
 // NewNetServer wraps srv for TCP serving; logger may be nil. The single
@@ -71,34 +38,28 @@ type NetServer struct {
 // behind a mutex.
 func NewNetServer(srv *Server, logger *log.Logger) *NetServer {
 	var mu sync.Mutex
-	return servingNet(&NetServer{
-		log: logger,
+	n := &NetServer{
 		handle: func(ctx context.Context, clientID int, raw []byte) Response {
 			mu.Lock()
 			defer mu.Unlock()
 			return srv.ServeContext(ctx, clientID, raw)
 		},
-		workers: 1,
-		resizeFn: func(k int) error {
+	}
+	n.Front = serve.Serving(serve.New(frontName, logger, serve.Backend{
+		Workers:    1,
+		MaxDomains: MaxResizeWorkers,
+		Conn:       n.serveConn,
+		Resize: func(k int) error {
 			mu.Lock()
 			defer mu.Unlock()
 			return srv.ResizeWorkers(k)
 		},
-		workersFn: func() int {
+		Domains: func() int {
 			mu.Lock()
 			defer mu.Unlock()
 			return srv.Workers()
 		},
-	})
-}
-
-// servingNet advances a freshly built NetServer's lifecycle machine to
-// Healthy — the eager-constructor pattern (resources were allocated
-// inline, the server serves immediately).
-func servingNet(n *NetServer) *NetServer {
-	n.lc = lifecycle.NewMachine("httpd.NetServer")
-	_ = n.lc.Init(nil)  //lint:errclass fresh machine; Init from StateInitializing cannot fail
-	_ = n.lc.Start(nil) //lint:errclass inited machine; Start cannot fail
+	}))
 	return n
 }
 
@@ -106,7 +67,9 @@ func servingNet(n *NetServer) *NetServer {
 // pool synchronizes internally per worker, so requests on different
 // workers execute in parallel.
 func NewNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	return servingNet(NewDeferredNetServerPool(p, logger))
+	n := NewDeferredNetServerPool(p, logger)
+	serve.Serving(n.Front)
+	return n
 }
 
 // NewDeferredNetServerPool is NewNetServerPool without the lifecycle
@@ -114,13 +77,21 @@ func NewNetServerPool(p *Pool, logger *log.Logger) *NetServer {
 // must run before it may Drain, Stop, or resize (Serve itself does not
 // consult the machine — legacy constructors advance it for you).
 func NewDeferredNetServerPool(p *Pool, logger *log.Logger) *NetServer {
-	return &NetServer{
-		log:       logger,
-		handle:    p.ServeContext,
-		workers:   p.Workers(),
-		resizeFn:  p.ResizeWorkers,
-		workersFn: p.ShardWorkers,
-		lc:        lifecycle.NewMachine("httpd.NetServer"),
+	n := &NetServer{handle: p.ServeContext}
+	n.Front = serve.New(frontName, logger, poolBackend(p, n))
+	return n
+}
+
+// poolBackend is the backend a front over p serves for n. The httpd
+// tier holds no durable state, so there is nothing to drain or close
+// behind the queues.
+func poolBackend(p *Pool, n *NetServer) serve.Backend {
+	return serve.Backend{
+		Workers:    p.Workers(),
+		MaxDomains: MaxResizeWorkers,
+		Conn:       n.serveConn,
+		Resize:     p.ResizeWorkers,
+		Domains:    p.ShardWorkers,
 	}
 }
 
@@ -143,75 +114,41 @@ type asyncReq struct {
 // (admission control / backpressure). Call Close after Serve returns to
 // stop the drain loops.
 func NewBatchedNetServerPool(p *Pool, logger *log.Logger, maxInflight, maxBatch int) (*NetServer, error) {
-	if maxInflight <= 0 {
-		maxInflight = 1024
-	}
-	depth := maxInflight / p.Workers()
-	if depth < 1 {
-		depth = 1
-	}
-	var rr atomic.Uint64
-	// n is assigned below; the drain loops only observe it after a task
-	// travels through a queue, which happens-after the constructor
-	// returns.
-	var n *NetServer
-	q, err := submit.New(submit.Config{
-		Workers:  p.Workers(),
-		Depth:    depth,
-		MaxBatch: maxBatch,
-		Exec: func(si int, tasks []*submit.Task) {
-			batch := make([]BatchRequest, len(tasks))
-			for i, t := range tasks {
-				a := t.Payload.(*asyncReq)
-				batch[i] = BatchRequest{Ctx: t.Ctx, ClientID: a.clientID, Raw: a.raw}
-			}
-			resps := p.serveBatch(si, batch)
-			for i, t := range tasks {
-				t.Payload.(*asyncReq).resp = resps[i]
-				t.Resolve(nil)
-			}
-			// Elastic evaluation is event-driven (per executed batch):
-			// no wall-clock timers on the simulated-machine side.
-			n.maybeScale()
-		},
+	n := &NetServer{}
+	f, err := serve.NewBatched(frontName, logger, poolBackend(p, n), maxInflight, maxBatch, func(si int, tasks []*submit.Task) {
+		batch := make([]BatchRequest, len(tasks))
+		for i, t := range tasks {
+			a := t.Payload.(*asyncReq)
+			batch[i] = BatchRequest{Ctx: t.Ctx, ClientID: a.clientID, Raw: a.raw}
+		}
+		resps := p.serveBatch(si, batch)
+		for i, t := range tasks {
+			t.Payload.(*asyncReq).resp = resps[i]
+			t.Resolve(nil)
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	n = servingNet(&NetServer{
-		log:       logger,
-		queues:    q,
-		workers:   p.Workers(),
-		resizeFn:  p.ResizeWorkers,
-		workersFn: p.ShardWorkers,
-	})
+	n.Front = serve.Serving(f)
+	var rr atomic.Uint64
 	n.handle = func(ctx context.Context, clientID int, raw []byte) Response {
 		a := &asyncReq{clientID: clientID, raw: raw}
-		w := dispatch.LeastLoaded(p.Workers(), int(rr.Add(1)-1), q.Load)
-		fut, err := q.Submit(w, ctx, a)
-		if _, over := submit.IsOverload(err); over {
-			// Requests are stateless, so a full first pick fails over to
-			// any other worker's queue; only a pool-wide full sheds.
-			for i := 1; i < p.Workers(); i++ {
-				fut, err = q.Submit((w+i)%p.Workers(), ctx, a)
-				if _, over = submit.IsOverload(err); !over {
-					break
-				}
+		w := dispatch.LeastLoaded(p.Workers(), int(rr.Add(1)-1), f.Queues().Load)
+		fut, err := n.Submit(w, ctx, a)
+		// Requests are stateless, so a full first pick fails over to any
+		// other worker's queue; only a pool-wide full sheds.
+		for i := 1; i < p.Workers(); i++ {
+			if _, over := submit.IsOverload(err); !over {
+				break
 			}
+			fut, err = n.Submit((w+i)%p.Workers(), ctx, a)
 		}
 		if err != nil {
-			// Overload (every queue full) or closed: shed with 503. The
-			// overload case carries a deterministic cycles-quantized hint
-			// computed from configuration, not from which queue rejected.
-			if _, over := submit.IsOverload(err); over {
-				cycles := gateway.QuantizeRetryCycles(uint64(q.Depth()) * overloadRetryCyclesPerSlot)
-				return Response{
-					Status:           503,
-					Err:              &gateway.RetryHintError{Cycles: cycles, Cause: err},
-					RetryAfterCycles: cycles,
-				}
-			}
-			return Response{Status: 503, Err: err}
+			// Overload (every queue full, with the front's retry hint) or
+			// closed: shed with 503.
+			cycles, _ := gateway.RetryAfterCycles(err)
+			return Response{Status: 503, Err: err, RetryAfterCycles: cycles}
 		}
 		return respondAsync(a, fut)
 	}
@@ -230,252 +167,17 @@ func respondAsync(a *asyncReq, fut *submit.Future) Response {
 	return a.resp
 }
 
-// SetGateway installs the tenant admission front tier: every request
-// then requires a bearer token, passes per-tenant admission, and the
-// /healthz and /drainz lifecycle endpoints come alive. Call before
-// Serve.
-func (n *NetServer) SetGateway(gw *gateway.Gateway) { n.gw = gw }
-
-// Close stops the batched submission layer, if this server has one:
-// queued requests are answered and the drain loops exit. Idempotent.
-// Serve must have returned (or never been called).
-func (n *NetServer) Close() error { return n.lc.Close(n.closeImpl) }
-
-// Stop is the strict lifecycle form of Close: same teardown, but a
-// second Stop returns a typed *LifecycleError instead of the memoized
-// outcome. ctx is accepted for interface symmetry; teardown is bounded
-// by the queue flush.
-func (n *NetServer) Stop(ctx context.Context) error {
-	_ = ctx
-	return n.lc.Stop(n.closeImpl)
-}
-
-// closeImpl is the teardown the lifecycle machine memoizes.
-func (n *NetServer) closeImpl() error {
-	if n.queues != nil {
-		n.queues.Flush()
-		n.queues.Close()
-	}
-	return nil
-}
-
-// Init advances the lifecycle machine past resource allocation (the
-// wrapped server or pool was allocated at construction). Only servers
-// from NewDeferredNetServerPool need it; the eager constructors have
-// already advanced the machine.
-func (n *NetServer) Init() error { return n.lc.Init(nil) }
-
-// Start moves the server to StateHealthy (see Init).
-func (n *NetServer) Start() error { return n.lc.Start(nil) }
-
-// State returns the server's lifecycle state.
-func (n *NetServer) State() lifecycle.State { return n.lc.State() }
-
-// Drain shuts the server down gracefully: stop admission (the gateway
-// answers 503 draining), flush the submission queues so every admitted
-// request is answered, then close them so stragglers get typed
-// ErrClosed. The httpd tier holds no durable state, so the drain is
-// complete once the queues are empty. Idempotent.
-func (n *NetServer) Drain() error {
-	return n.lc.Drain(func() error {
-		if n.gw != nil {
-			n.gw.StartDrain()
-		}
-		if n.queues != nil {
-			n.queues.Flush()
-			n.queues.Close()
-		}
-		return nil
-	})
-}
-
-// Draining reports whether Drain has been called (and Stop has not yet
-// superseded it).
-func (n *NetServer) Draining() bool {
-	return n.lc.State() == lifecycle.StateDraining
-}
-
-// ResizeWorkers grows or shrinks the parsing-domain set of the wrapped
-// server (or of every worker of the wrapped pool) to k. Legal while
-// Healthy or Degraded.
-func (n *NetServer) ResizeWorkers(k int) error {
-	if err := n.lc.Resizable(); err != nil {
-		return err
-	}
-	if n.resizeFn == nil {
-		return fmt.Errorf("httpd: resize workers: server has no resizable backend")
-	}
-	return n.resizeFn(k)
-}
-
-// netElastic is the parsing-domain autoscaler state. The controller is
-// deliberately wall-clock-free: it evaluates once per executed batch
-// (an event the virtual-time side already generates) and scales from
-// submission-queue backlog.
-type netElastic struct {
-	min, max int
-	// idle counts consecutive low-backlog evaluations; netShrinkIdleEvals
-	// of them halve the worker set.
-	idle    int
-	grown   uint64
-	shrunk  uint64
-	maxSeen int
-}
-
-// netShrinkIdleEvals is the number of consecutive low-backlog batch
-// evaluations before the elastic controller shrinks.
-const netShrinkIdleEvals = 16
-
-// EnableElastic turns on parsing-domain autoscaling between min and max
-// domains per worker: the set doubles when the queued backlog reaches
-// two batches per live domain and halves after a sustained idle
-// stretch. Requires a batched pool server; call before Serve. The
-// server starts at min domains.
-func (n *NetServer) EnableElastic(min, max int) error {
-	if err := n.lc.Resizable(); err != nil {
-		return err
-	}
-	if n.queues == nil || n.resizeFn == nil {
-		return fmt.Errorf("httpd: elastic mode needs a batched pool server")
-	}
-	if min < 1 || max < min || max > MaxResizeWorkers {
-		return fmt.Errorf("httpd: elastic bounds [%d, %d] out of range [1, %d]", min, max, MaxResizeWorkers)
-	}
-	if err := n.resizeFn(min); err != nil {
-		return err
-	}
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	n.elastic = &netElastic{min: min, max: max, maxSeen: min}
-	return nil
-}
-
-// NetElasticStats reports the autoscaler's activity.
-type NetElasticStats struct {
-	// Grown and Shrunk count resize operations in each direction.
-	Grown, Shrunk uint64
-	// MaxWorkers is the highest per-worker parsing-domain count reached;
-	// Workers is the current one.
-	MaxWorkers, Workers int
-}
-
-// ElasticStats returns the autoscaler's counters (zero value when
-// elastic mode is off).
-func (n *NetServer) ElasticStats() NetElasticStats {
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	if n.elastic == nil {
-		return NetElasticStats{}
-	}
-	return NetElasticStats{
-		Grown:      n.elastic.grown,
-		Shrunk:     n.elastic.shrunk,
-		MaxWorkers: n.elastic.maxSeen,
-		Workers:    n.workersFn(),
-	}
-}
-
-// maybeScale runs one elastic evaluation: grow (double, capped) when
-// the queued backlog reaches two requests per live parsing domain per
-// worker, shrink (halve, floored) after netShrinkIdleEvals consecutive
-// evaluations with at most one queued request per live domain.
-func (n *NetServer) maybeScale() {
-	n.elasticMu.Lock()
-	defer n.elasticMu.Unlock()
-	e := n.elastic
-	if e == nil {
-		return
-	}
-	perShard := n.queues.TotalLoad() / int64(n.workers)
-	cur := n.workersFn()
-	switch {
-	case perShard >= int64(2*cur) && cur < e.max:
-		next := cur * 2
-		if next > e.max {
-			next = e.max
-		}
-		if err := n.resizeFn(next); err == nil {
-			e.grown++
-			e.idle = 0
-			if next > e.maxSeen {
-				e.maxSeen = next
-			}
-		}
-	case perShard <= int64(cur):
-		e.idle++
-		if e.idle >= netShrinkIdleEvals && cur > e.min {
-			next := cur / 2
-			if next < e.min {
-				next = e.min
-			}
-			if err := n.resizeFn(next); err == nil {
-				e.shrunk++
-			}
-			e.idle = 0
-		}
-	default:
-		e.idle = 0
-	}
-}
-
-// Interface compliance: the net server implements the shared lifecycle
-// contract.
-var _ lifecycle.Component = (*NetServer)(nil)
-
-// SetRequestTimeout installs a per-request deadline (0 disables it, the
-// default). Call before Serve.
-func (n *NetServer) SetRequestTimeout(d time.Duration) { n.reqTimeout = d }
-
-func (n *NetServer) logf(format string, args ...any) {
-	if n.log != nil {
-		n.log.Printf(format, args...)
-	}
-}
-
-// Serve accepts connections until ln closes, then drains in-flight
-// connections.
-func (n *NetServer) Serve(ln net.Listener) error {
-	defer n.wg.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return fmt.Errorf("httpd: accept: %w", err)
-		}
-		n.connMu.Lock()
-		n.nextID++
-		id := n.nextID
-		n.connMu.Unlock()
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer func() {
-				if cerr := conn.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
-					n.logf("conn %d close: %v", id, cerr)
-				}
-			}()
-			n.serveConn(id, conn)
-		}()
-	}
-}
-
 func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 	raw, err := ReadRequestHead(bufio.NewReader(conn))
 	if err != nil {
-		n.logf("conn %d read: %v", id, err)
+		n.Logf("conn %d read: %v", id, err)
 		return
 	}
-	ctx := context.Background()
-	if n.reqTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, n.reqTimeout)
-		defer cancel()
-	}
+	ctx, cancel := n.RequestContext()
+	defer cancel()
 	resp := n.dispatch(ctx, id, raw)
 	if resp.Contained {
-		n.logf("conn %d: contained parser exploit (domain rewound)", id)
+		n.Logf("conn %d: contained parser exploit (domain rewound)", id)
 	}
 	WriteHTTPResponse(conn, resp)
 }
@@ -487,7 +189,8 @@ func (n *NetServer) serveConn(id int, conn io.ReadWriter) {
 // before the backend sees a byte, and reports its outcome to the
 // tenant's circuit breaker afterwards.
 func (n *NetServer) dispatch(ctx context.Context, id int, raw []byte) Response {
-	if n.gw == nil {
+	gw := n.Gateway()
+	if gw == nil {
 		return n.handle(ctx, id, raw)
 	}
 	path := requestPath(raw)
@@ -495,16 +198,16 @@ func (n *NetServer) dispatch(ctx context.Context, id int, raw []byte) Response {
 		// Unauthenticated by design: load-balancer probes carry no
 		// credentials, and the document holds no tenant secrets (only
 		// tenant names and counters).
-		return n.healthResponse()
+		return n.healthResponse(gw)
 	}
 	token, aerr := gateway.BearerToken(raw)
 	if aerr != nil {
-		n.logf("conn %d auth rejected: %v", id, aerr)
+		n.Logf("conn %d auth rejected: %v", id, aerr)
 		return Response{Status: 401, Body: []byte("unauthorized\n")}
 	}
-	tenant, err := n.gw.Authenticate(token)
+	tenant, err := gw.Authenticate(token)
 	if err != nil {
-		n.logf("conn %d auth rejected: %v", id, err)
+		n.Logf("conn %d auth rejected: %v", id, err)
 		return Response{Status: 401, Body: []byte("unauthorized\n")}
 	}
 	if path == "/drainz" {
@@ -513,7 +216,7 @@ func (n *NetServer) dispatch(ctx context.Context, id int, raw []byte) Response {
 		}
 		return Response{Status: 200, Body: []byte("draining\n")}
 	}
-	ticket, err := n.gw.Admit(tenant)
+	ticket, err := gw.Admit(tenant)
 	if err != nil {
 		return admissionResponse(err)
 	}
@@ -534,7 +237,7 @@ func admissionResponse(err error) Response {
 		return Response{
 			Status:           429,
 			Err:              err,
-			RetryAfterCycles: gateway.QuantizeRetryCycles(qe.ProbeIn * overloadRetryCyclesPerSlot),
+			RetryAfterCycles: gateway.QuantizeRetryCycles(qe.ProbeIn * serve.RetryCyclesPerSlot),
 		}
 	}
 	if cycles, ok := gateway.RetryAfterCycles(err); ok {
@@ -546,9 +249,9 @@ func admissionResponse(err error) Response {
 // healthResponse renders the health document (shard tier states are the
 // gateway owner's concern on kvstore; httpd's workers hold no durable
 // state, so the document carries drain state and tenant counters).
-func (n *NetServer) healthResponse() Response {
-	draining := n.Draining() || n.gw.Draining()
-	h := gateway.BuildHealth(draining, n.workers, nil, n.gw.Stats().Snapshot())
+func (n *NetServer) healthResponse(gw *gateway.Gateway) Response {
+	draining := n.Draining() || gw.Draining()
+	h := gateway.BuildHealth(draining, n.Workers(), nil, gw.Stats().Snapshot())
 	return Response{Status: h.Status(), Body: h.JSON()}
 }
 
@@ -566,25 +269,34 @@ func requestPath(raw []byte) string {
 	return string(parts[1])
 }
 
+// maxHeadSize bounds an HTTP request head.
+const maxHeadSize = 64 << 10
+
 // ReadRequestHead reads bytes up to and including the blank line that
-// terminates an HTTP request head.
+// terminates an HTTP request head. A head longer than 64 KiB is an
+// error as soon as the limit is passed, even in the middle of a line,
+// so a client cannot make the server buffer without bound.
 func ReadRequestHead(r *bufio.Reader) ([]byte, error) {
 	var buf []byte
-	for {
-		line, err := r.ReadBytes('\n')
-		buf = append(buf, line...)
+	for start := 0; ; {
+		chunk, err := r.ReadSlice('\n')
+		buf = append(buf, chunk...)
+		if len(buf) > maxHeadSize {
+			return nil, errors.New("httpd: request head too large")
+		}
+		if errors.Is(err, bufio.ErrBufferFull) {
+			continue // the line goes on past the reader's buffer
+		}
 		if err != nil {
 			if errors.Is(err, io.EOF) && len(buf) > 0 {
 				return buf, nil
 			}
 			return nil, err
 		}
-		if string(line) == "\r\n" || string(line) == "\n" {
+		if line := buf[start:]; string(line) == "\r\n" || string(line) == "\n" {
 			return buf, nil
 		}
-		if len(buf) > 64<<10 {
-			return nil, errors.New("httpd: request head too large")
-		}
+		start = len(buf)
 	}
 }
 

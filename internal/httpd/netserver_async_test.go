@@ -21,13 +21,3 @@ func TestRespondAsyncClosedQueue(t *testing.T) {
 		t.Fatalf("closed-queue response has status %d, want 503", resp.Status)
 	}
 }
-
-// TestRespondAsyncFilled returns the drain loop's response verbatim on
-// clean resolution.
-func TestRespondAsyncFilled(t *testing.T) {
-	a := &asyncReq{resp: Response{Status: 200, Body: []byte("ok")}}
-	resp := respondAsync(a, submit.Resolved(nil))
-	if resp.Status != 200 || string(resp.Body) != "ok" || resp.Err != nil {
-		t.Fatalf("clean resolution returned %+v, want the drain loop's response", resp)
-	}
-}

@@ -2,6 +2,7 @@ package httpd
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -108,6 +109,40 @@ func TestReadRequestHead(t *testing.T) {
 	big := strings.Repeat("h: v\r\n", 20_000)
 	if _, err := ReadRequestHead(bufio.NewReader(strings.NewReader("GET / HTTP/1.1\r\n" + big))); err == nil {
 		t.Error("oversized head accepted")
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReadRequestHeadBoundsLine pins the head limit inside a line: a
+// newline-free stream used to be buffered whole and returned as the
+// head at EOF. It must fail once 64 KiB have passed, having read at
+// most one reader buffer beyond that.
+func TestReadRequestHeadBoundsLine(t *testing.T) {
+	src := &countingReader{r: strings.NewReader(strings.Repeat("A", 1<<20))}
+	r := bufio.NewReader(src)
+	if head, err := ReadRequestHead(r); err == nil || !strings.Contains(err.Error(), "request head too large") {
+		t.Fatalf("newline-free 1 MiB head: %d bytes, err %v; want request head too large", len(head), err)
+	}
+	if limit := 64<<10 + r.Size(); src.n > limit {
+		t.Errorf("consumed %d bytes, want at most %d", src.n, limit)
+	}
+	// A line longer than the reader's buffer is still one line: its
+	// CRLF does not end the head.
+	long := "GET / HTTP/1.1\r\nh: " + strings.Repeat("v", 5000) + "\r\n\r\n"
+	head, err := ReadRequestHead(bufio.NewReaderSize(strings.NewReader(long+"rest"), 16))
+	if err != nil || string(head) != long {
+		t.Errorf("long header line: %q, %v", head, err)
 	}
 }
 

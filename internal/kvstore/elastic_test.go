@@ -3,12 +3,14 @@ package kvstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
+	"repro/internal/submit"
 	"repro/internal/workload"
 )
 
@@ -133,5 +135,102 @@ func TestResizeDurableAckedWrites(t *testing.T) {
 		if resp := p2.Handle(0, workload.Request{Op: workload.OpGet, Key: key}); resp.OK && resp.Err == nil {
 			t.Fatalf("shed key %q survived recovery with value %q", key, resp.Value)
 		}
+	}
+}
+
+// TestElasticGrowShrinkDrain drives the batched front's elastic
+// controller end to end: concurrent clients back the shard queues up
+// until the parser domains grow to max, a serial trickle lets them
+// shrink back to min, and a second concurrent burst races a mid-run
+// Drain. Every request is either acked or refused with a typed error
+// (queues closed, shard drained), and the drained server refuses
+// resizes.
+func TestElasticGrowShrinkDrain(t *testing.T) {
+	p, err := NewPool(core.DefaultConfig(), ServerConfig{Mode: ModeSDRaD}, 2, 16<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewBatchedNetServerPool(p, nil, 256, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if cerr := srv.Close(); cerr != nil {
+			t.Errorf("Close: %v", cerr)
+		}
+	}()
+	if err := srv.EnableElastic(1, 4); err != nil {
+		t.Fatal(err)
+	}
+
+	// burst runs clients concurrent request streams of per SETs each;
+	// mid, when set, runs once half of them were sent.
+	var acked, refused int
+	burst := func(round, clients, per int, mid func()) {
+		var mu sync.Mutex
+		var once sync.Once
+		var sent int
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					mu.Lock()
+					sent++
+					half := sent == clients*per/2
+					mu.Unlock()
+					if half && mid != nil {
+						once.Do(mid)
+					}
+					resp := srv.handle(context.Background(), c, setReq(fmt.Sprintf("k-%d-%d-%d", round, c, i), "v"))
+					mu.Lock()
+					switch {
+					case resp.OK && resp.Err == nil:
+						acked++
+					case errors.Is(resp.Err, submit.ErrClosed) || errors.Is(resp.Err, ErrDrained):
+						refused++
+					default:
+						t.Errorf("request %d/%d: neither acked nor refused: %+v", c, i, resp)
+					}
+					mu.Unlock()
+				}
+			}(c)
+		}
+		wg.Wait()
+	}
+
+	for round := 0; srv.ElasticStats().MaxWorkers < 4; round++ {
+		if round == 50 {
+			t.Fatalf("domains never grew to 4 under load: %+v", srv.ElasticStats())
+		}
+		burst(round, 16, 8, nil)
+	}
+	for i := 0; srv.ElasticStats().Workers > 1; i++ {
+		if i == 2000 {
+			t.Fatalf("domains never shrank back to 1: %+v", srv.ElasticStats())
+		}
+		if resp := srv.handle(context.Background(), 0, setReq("trickle", "v")); !resp.OK {
+			t.Fatalf("trickle request: %+v", resp)
+		}
+	}
+	if st := srv.ElasticStats(); st.Grown < 2 || st.Shrunk < 2 {
+		t.Fatalf("stats %+v, want both directions exercised", st)
+	}
+	if refused != 0 {
+		t.Fatalf("%d requests refused before the drain", refused)
+	}
+
+	drained := make(chan error, 1)
+	burst(-1, 16, 8, func() { go func() { drained <- srv.Drain() }() })
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if resp := srv.handle(context.Background(), 0, setReq("late", "v")); !errors.Is(resp.Err, submit.ErrClosed) {
+		t.Errorf("request after the drain: %+v, want ErrClosed", resp)
+	}
+	t.Logf("acked %d, refused %d, %+v", acked, refused, srv.ElasticStats())
+	if _, ok := lifecycle.IsLifecycle(srv.ResizeWorkers(2)); !ok {
+		t.Error("drained server accepted a resize")
 	}
 }

@@ -133,7 +133,7 @@ func TestBatchedOverloadRetryHintBytes(t *testing.T) {
 			// taken by the drain loop (Batches=1) before the second fills
 			// the queue (Submitted=2).
 			want := uint64(i + 1)
-			for n.queues.Stats(0).Submitted != want || n.queues.Stats(0).Batches != 1 {
+			for n.Queues().Stats(0).Submitted != want || n.Queues().Stats(0).Batches != 1 {
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

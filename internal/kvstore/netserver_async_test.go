@@ -21,13 +21,3 @@ func TestRespondAsyncClosedQueue(t *testing.T) {
 		t.Error("closed-queue response reports OK")
 	}
 }
-
-// TestRespondAsyncFilled returns the drain loop's response verbatim on
-// clean resolution.
-func TestRespondAsyncFilled(t *testing.T) {
-	a := &asyncReq{resp: Response{OK: true, Value: []byte("v")}}
-	resp := respondAsync(a, submit.Resolved(nil))
-	if !resp.OK || string(resp.Value) != "v" || resp.Err != nil {
-		t.Fatalf("clean resolution returned %+v, want the drain loop's response", resp)
-	}
-}
